@@ -6,12 +6,15 @@ estimator — exactly the predictor the pipeline itself uses for
 allocation (§III-D1) — and then asks Algorithm 2's admission stage
 (:meth:`~repro.allocation.proposed.ProposedAllocator.admit`) whether
 the *whole* set of active sessions plus the candidate still fits the
-``1/FPS`` slot capacity of the platform.  Three outcomes:
+``1/FPS`` slot capacity of the platform.  Every HELLO is a request for
+output rungs: a plain HELLO asks for one at its ingest geometry, a
+ladder HELLO for several, and one decision serves both, dropping low
+rungs before it parks or sheds a session.  Three outcomes:
 
 * **accept** — everything fits; the session is charged its estimated
   core demand until :meth:`AdmissionController.release`.
-* **park** — the candidate alone overflows capacity but a bounded
-  waiting room has space; the server holds the connection and retries
+* **park** — the candidate's primary rung alone overflows capacity
+  (or its tenant's entitlement) but a bounded waiting room has space; the server holds the connection and retries
   when an active session ends.
 * **reject** — capacity and waiting room are both exhausted.
 
@@ -55,6 +58,21 @@ __all__ = [
     "SessionTicket",
     "WorkerLoad",
 ]
+
+
+def _rung_error(hello: Hello, rungs: Sequence[Tuple[int, int]]) -> str:
+    """Why a ladder request cannot be encoded (``""`` when it can)."""
+    for w, h in rungs:
+        if w > hello.width or h > hello.height:
+            return (f"rung {w}x{h} exceeds {hello.width}x{hello.height} "
+                    "ingest: ladders never upscale")
+        if w < 1 or h < 1 or w % RUNG_MULTIPLE or h % RUNG_MULTIPLE:
+            return (f"rung {w}x{h} is not encodable: dimensions must be "
+                    f"positive multiples of {RUNG_MULTIPLE}")
+    areas = [w * h for w, h in rungs]
+    if any(a <= b for a, b in zip(areas, areas[1:])):
+        return "ladder rungs must be strictly decreasing in area"
+    return ""
 
 
 class AdmissionDecision(enum.Enum):
@@ -181,52 +199,25 @@ class AdmissionController:
         return self.energy.admits(tenant)
 
     # -- pricing -------------------------------------------------------
-    def estimate_session(self, hello: Hello) -> Tuple[float, UserDemand]:
-        """Predicted per-slot demand of a session, from its HELLO.
-
-        The LUT key describes the session's steady state: a P frame at
-        the pipeline's default QP/window with mid texture and high
-        motion (the conservative prior before any tile statistics
-        exist); once the LUT has observations for the stream's content
-        class, the estimate sharpens automatically.
-        """
-        content = None
-        if hello.content_class:
-            try:
-                content = ContentClass(hello.content_class)
-            except ValueError:
-                content = None
-        area = max(1, hello.width * hello.height)
-        key = WorkloadKey(
-            texture=TextureClass.MEDIUM,
-            motion=MotionClass.HIGH,
-            qp=32,
-            search_window=64,
-            frame_type=FrameType.P,
-            area_bucket=area_bucket(area),
-            content_class=content,
-        )
-        cpu_per_frame = self.estimator.estimate(key, area)
-        demand = UserDemand(
-            user_id=0,
-            threads=[ThreadTask(thread_id=0, user_id=0,
-                                cpu_time_fmax=cpu_per_frame, tile_index=0)],
-        )
-        return cores_needed(demand, hello.fps), demand
-
     def estimate_ladder(
         self, hello: Hello,
         rungs: Sequence[Tuple[int, int]],
     ) -> Tuple[float, UserDemand, List[float]]:
-        """Price a whole rendition ladder: the sum of per-rung estimates.
+        """Predicted per-slot demand of a session's rungs, from its HELLO.
 
-        Each rung is priced with its own LUT key — the rung's area
-        bucket plus the :attr:`WorkloadKey.resolution` tag the ladder
-        sessions record under (``None`` for the full-resolution primary,
-        so its statistics pool with pre-ladder sessions).  The ladder's
-        demand carries one thread per rung, so Algorithm 2 admits or
-        refuses the *whole* ladder, exactly as §III-D2 charges a
-        session for everything it will run per slot.
+        A plain session is the one-rung request ``((width, height),)``;
+        a ladder prices as the sum of per-rung estimates.  Each rung's
+        LUT key describes the steady state: a P frame at the pipeline's
+        default QP/window with mid texture and high motion (the
+        conservative prior before any tile statistics exist), the
+        rung's area bucket and the :attr:`WorkloadKey.resolution` tag
+        the ladder sessions record under (``None`` for the
+        full-resolution primary, so its statistics pool with plain
+        sessions).  Once the LUT has observations for the stream's
+        content class, the estimate sharpens automatically.  The demand
+        carries one thread per rung, so Algorithm 2 admits or refuses
+        the *whole* request, exactly as §III-D2 charges a session for
+        everything it will run per slot.
         """
         content = None
         if hello.content_class:
@@ -293,204 +284,73 @@ class AdmissionController:
         return qp, window
 
     # -- decisions -----------------------------------------------------
-    def decide(self, session_id: int, hello: Hello,
-               fps: Optional[float] = None) -> Tuple[AdmissionDecision, str]:
-        """Admission decision for one HELLO.
+    def decide(
+        self, session_id: int, hello: Hello,
+    ) -> Tuple[AdmissionDecision, str, Tuple[Tuple[int, int], ...]]:
+        """Admission decision for a plain HELLO: a one-rung request at
+        the ingest geometry.
 
-        ``fps`` overrides the HELLO's frame rate (the server's slot
-        clock wins when they disagree).  An ACCEPT immediately charges
-        the session; callers must :meth:`release` it when it ends.
+        Returns ``(decision, reason, kept_rungs)``; see
+        :meth:`_decide`.  An ACCEPT immediately charges the session;
+        callers must :meth:`release` it when it ends.
         """
-        fps = fps if fps is not None else hello.fps
-        if fps <= 0:
-            return AdmissionDecision.REJECT, "non-positive fps"
-        if self._draining:
-            get_registry().inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            return (AdmissionDecision.REJECT,
-                    "server draining; admissions stopped")
-        tenant = self._tenant_name(hello)
-        allowed, why = self._energy_gate(tenant)
-        if not allowed:
-            registry = get_registry()
-            registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            registry.inc(
-                "repro_serving_policy_rejects_total", tenant=tenant,
-                help="Admissions refused by the energy/brownout policy",
-            )
-            return AdmissionDecision.REJECT, why
-        cores, demand = self.estimate_session(hello)
-        entitled = self._entitlement_cores(tenant)
-        if (entitled is not None
-                and self.tenant_occupancy(tenant) + cores > entitled + 1e-9):
-            registry = get_registry()
-            registry.inc(
-                "repro_serving_tenant_entitlement_total", tenant=tenant,
-                help="Admissions deferred by a tenant's entitlement cap",
-            )
-            occupied = self.tenant_occupancy(tenant)
-            detail = (
-                f"tenant {tenant!r} entitlement exceeded: need "
-                f"{cores:.2f} cores, {occupied:.2f}/{entitled:.2f} "
-                "entitled cores occupied"
-            )
-            if self._parked < self.policy.park_capacity:
-                self._parked += 1
-                decision, reason = AdmissionDecision.PARK, detail + "; parked"
-            else:
-                decision, reason = (AdmissionDecision.REJECT,
-                                    detail + "; waiting room full")
-            registry.inc(
-                "repro_serving_admission_total", decision=decision.value,
-                help="Admission decisions by outcome",
-            )
-            return decision, reason
-        demands = [
-            t.demand for t in self._active.values()
-        ]
-        candidate = UserDemand(
-            user_id=session_id,
-            threads=[
-                ThreadTask(thread_id=t.thread_id, user_id=session_id,
-                           cpu_time_fmax=t.cpu_time_fmax,
-                           tile_index=t.tile_index)
-                for t in demand.threads
-            ],
-        )
-        demands.append(candidate)
-        capacity = max(1, int(self.capacity_cores))
-        admitted, _, _ = self.allocator.admit(demands, fps, capacity=capacity)
-        fits = len(admitted) == len(demands)
-        registry = get_registry()
-        if fits:
-            self._active[session_id] = SessionTicket(
-                session_id=session_id, demand=candidate, cores=cores,
-                tenant=tenant,
-            )
-            decision, reason = AdmissionDecision.ACCEPT, (
-                f"estimated {cores:.2f} cores of "
-                f"{self.capacity_cores:.0f} "
-                f"({self.occupancy_cores:.2f} occupied)"
-            )
-            if tenant:
-                registry.inc(
-                    "repro_serving_tenant_sessions_total", tenant=tenant,
-                    help="Sessions admitted per policy tenant",
-                )
-            self._observe_accept()
-        elif self._parked < self.policy.park_capacity:
-            self._parked += 1
-            decision, reason = AdmissionDecision.PARK, (
-                f"slot cap exceeded: need {cores:.2f} cores, "
-                f"{self.occupancy_cores:.2f}/{self.capacity_cores:.0f} "
-                "occupied; parked"
-            )
-            self._observe_overload()
-        else:
-            decision, reason = AdmissionDecision.REJECT, (
-                f"slot cap exceeded: need {cores:.2f} cores, "
-                f"{self.occupancy_cores:.2f}/{self.capacity_cores:.0f} "
-                "occupied; waiting room full"
-            )
-            self._observe_overload()
-        registry.inc(
-            "repro_serving_admission_total", decision=decision.value,
-            help="Admission decisions by outcome",
-        )
-        registry.set_gauge(
-            "repro_serving_occupancy_cores", self.occupancy_cores,
-            help="Estimated core demand of active sessions",
-        )
-        registry.set_gauge(
-            "repro_serving_overload_level", int(self._level),
-            help="Server-level overload degradation rung",
-        )
-        get_tracer().event(
-            "admission.decide", session=session_id,
-            decision=decision.value, cores=cores,
-            occupancy=self.occupancy_cores, level=self._level.name,
-        )
-        return decision, reason
+        return self._decide(session_id, hello,
+                            ((hello.width, hello.height),))
 
     def decide_ladder(
         self, session_id: int, hello: Hello,
-        fps: Optional[float] = None,
     ) -> Tuple[AdmissionDecision, str, Tuple[Tuple[int, int], ...]]:
         """Admission decision for a HELLO that requests a ladder.
+
+        The request is validated (never upscale, encodable rung
+        dimensions, strictly decreasing areas) and then decided by
+        :meth:`_decide` like any other HELLO.
+        """
+        rungs = hello.ladder or ((hello.width, hello.height),)
+        return self._decide(session_id, hello, rungs,
+                            refusal=_rung_error(hello, rungs))
+
+    def _decide(
+        self, session_id: int, hello: Hello,
+        rungs: Sequence[Tuple[int, int]], refusal: str = "",
+    ) -> Tuple[AdmissionDecision, str, Tuple[Tuple[int, int], ...]]:
+        """The one admission decision: every HELLO requests ``rungs``.
 
         Returns ``(decision, reason, kept_rungs)`` where ``kept_rungs``
         are the ``(width, height)`` pairs actually admitted (largest
         first, a prefix of the request).  Degradation order: before
         parking or shedding the session, the controller drops rungs
-        from the **bottom** of the ladder — the primary full-resolution
+        from the **bottom** of the request — the primary full-resolution
         rung is the clinical deliverable and is never dropped; low
-        rungs are bandwidth conveniences.  Only when the primary alone
-        still overflows capacity does the decision fall through to the
-        ordinary park/reject path.
+        rungs are bandwidth conveniences.  Each prefix must fit the
+        tenant's entitlement before it is offered to Algorithm 2's
+        slot-cap check.  When no prefix fits, the session parks (or is
+        rejected once the waiting room is full) for the entitlement if
+        the primary alone exceeds it, and for the slot cap otherwise —
+        only the latter counts towards the overload ladder.  A
+        non-empty ``refusal`` (the entry point's validation verdict)
+        rejects the request outright.
         """
-        fps = fps if fps is not None else hello.fps
-        registry = get_registry()
-        if fps <= 0:
+        if hello.fps <= 0:
             return AdmissionDecision.REJECT, "non-positive fps", ()
-        rungs = hello.ladder or ((hello.width, hello.height),)
-        for w, h in rungs:
-            if w > hello.width or h > hello.height:
-                registry.inc(
-                    "repro_serving_admission_total", decision="reject",
-                    help="Admission decisions by outcome",
-                )
-                return (
-                    AdmissionDecision.REJECT,
-                    f"rung {w}x{h} exceeds {hello.width}x{hello.height} "
-                    "ingest: ladders never upscale",
-                    (),
-                )
-            if w < 1 or h < 1 or w % RUNG_MULTIPLE or h % RUNG_MULTIPLE:
-                registry.inc(
-                    "repro_serving_admission_total", decision="reject",
-                    help="Admission decisions by outcome",
-                )
-                return (
-                    AdmissionDecision.REJECT,
-                    f"rung {w}x{h} is not encodable: dimensions must be "
-                    f"positive multiples of {RUNG_MULTIPLE}",
-                    (),
-                )
-        areas = [w * h for w, h in rungs]
-        if any(a <= b for a, b in zip(areas, areas[1:])):
-            registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            return (
-                AdmissionDecision.REJECT,
-                "ladder rungs must be strictly decreasing in area",
-                (),
-            )
-        if self._draining:
-            registry.inc(
-                "repro_serving_admission_total", decision="reject",
-                help="Admission decisions by outcome",
-            )
-            return (AdmissionDecision.REJECT,
-                    "server draining; admissions stopped", ())
+        registry = get_registry()
         tenant = self._tenant_name(hello)
-        allowed, why = self._energy_gate(tenant)
-        if not allowed:
+        if not refusal and self._draining:
+            refusal = "server draining; admissions stopped"
+        if not refusal:
+            allowed, why = self._energy_gate(tenant)
+            if not allowed:
+                registry.inc(
+                    "repro_serving_policy_rejects_total", tenant=tenant,
+                    help="Admissions refused by the energy/brownout policy",
+                )
+                refusal = why
+        if refusal:
             registry.inc(
                 "repro_serving_admission_total", decision="reject",
                 help="Admission decisions by outcome",
             )
-            registry.inc(
-                "repro_serving_policy_rejects_total", tenant=tenant,
-                help="Admissions refused by the energy/brownout policy",
-            )
-            return AdmissionDecision.REJECT, why, ()
+            return AdmissionDecision.REJECT, refusal, ()
         trimmed = 0
         if self.compiled is not None:
             max_rungs = self.compiled.max_rungs_for(hello.tenant)
@@ -506,15 +366,18 @@ class AdmissionController:
                     help="Ladder rungs trimmed by tenant entitlements",
                 )
         entitled = self._entitlement_cores(tenant)
+        occupied = self.tenant_occupancy(tenant)
         active = [t.demand for t in self._active.values()]
         capacity = max(1, int(self.capacity_cores))
-        # Rung-drop-before-shed: try the full ladder, then successively
+        kept: Tuple[Tuple[int, int], ...] = ()
+        # Rung-drop-before-shed: try the full request, then successively
         # shorter prefixes, before giving up on the session entirely.
+        # The last pass prices the primary alone.
         for cut in range(len(rungs), 0, -1):
-            trial = rungs[:cut]
-            cores, demand, _ = self.estimate_ladder(hello, trial)
-            if (entitled is not None and self.tenant_occupancy(tenant)
-                    + cores > entitled + 1e-9):
+            cores, demand, _ = self.estimate_ladder(hello, rungs[:cut])
+            over_entitlement = (entitled is not None
+                                and occupied + cores > entitled + 1e-9)
+            if over_entitlement:
                 continue
             candidate = UserDemand(
                 user_id=session_id,
@@ -526,15 +389,17 @@ class AdmissionController:
                 ],
             )
             admitted, _, _ = self.allocator.admit(
-                active + [candidate], fps, capacity=capacity,
+                active + [candidate], hello.fps, capacity=capacity,
             )
-            if len(admitted) != len(active) + 1:
-                continue
+            if len(admitted) == len(active) + 1:
+                kept = tuple(rungs[:cut])
+                break
+        if kept:
             self._active[session_id] = SessionTicket(
                 session_id=session_id, demand=candidate, cores=cores,
                 tenant=tenant,
             )
-            dropped = len(rungs) - cut
+            dropped = len(rungs) - len(kept)
             if dropped:
                 registry.inc(
                     "repro_serving_ladder_rungs_dropped_total", dropped,
@@ -545,70 +410,72 @@ class AdmissionController:
                     "repro_serving_tenant_sessions_total", tenant=tenant,
                     help="Sessions admitted per policy tenant",
                 )
-            reason = (
-                f"ladder of {cut}/{len(rungs)} rungs at estimated "
-                f"{cores:.2f} cores of {self.capacity_cores:.0f} "
+            decision, reason = AdmissionDecision.ACCEPT, (
+                (f"ladder of {len(kept)}/{len(rungs)} rungs at "
+                 if hello.ladder else "")
+                + f"estimated {cores:.2f} cores of "
+                f"{self.capacity_cores:.0f} "
                 f"({self.occupancy_cores:.2f} occupied)"
                 + (f"; dropped {dropped} low rung(s)" if dropped else "")
                 + (f"; trimmed {trimmed} rung(s) by tenant entitlement"
                    if trimmed else "")
             )
             self._observe_accept()
-            registry.inc(
-                "repro_serving_admission_total", decision="accept",
-                help="Admission decisions by outcome",
-            )
-            registry.set_gauge(
-                "repro_serving_occupancy_cores", self.occupancy_cores,
-                help="Estimated core demand of active sessions",
-            )
-            get_tracer().event(
-                "admission.decide_ladder", session=session_id,
-                decision="accept", rungs=cut, dropped=dropped,
-                cores=cores, occupancy=self.occupancy_cores,
-            )
-            return AdmissionDecision.ACCEPT, reason, tuple(trial)
-        # Even the primary alone does not fit: ordinary park/reject.
-        cores, _, _ = self.estimate_ladder(hello, rungs[:1])
-        if self._parked < self.policy.park_capacity:
-            self._parked += 1
-            decision, reason = AdmissionDecision.PARK, (
-                f"slot cap exceeded even for the primary rung: need "
-                f"{cores:.2f} cores, {self.occupancy_cores:.2f}/"
-                f"{self.capacity_cores:.0f} occupied; parked"
-            )
         else:
-            decision, reason = AdmissionDecision.REJECT, (
-                f"slot cap exceeded even for the primary rung: need "
-                f"{cores:.2f} cores, {self.occupancy_cores:.2f}/"
-                f"{self.capacity_cores:.0f} occupied; waiting room full"
-            )
-        self._observe_overload()
+            if over_entitlement:
+                registry.inc(
+                    "repro_serving_tenant_entitlement_total", tenant=tenant,
+                    help="Admissions deferred by a tenant's entitlement cap",
+                )
+                detail = (
+                    f"tenant {tenant!r} entitlement exceeded: need "
+                    f"{cores:.2f} cores, {occupied:.2f}/{entitled:.2f} "
+                    "entitled cores occupied"
+                )
+            else:
+                detail = (
+                    "slot cap exceeded"
+                    + (" even for the primary rung" if hello.ladder else "")
+                    + f": need {cores:.2f} cores, "
+                    f"{self.occupancy_cores:.2f}/"
+                    f"{self.capacity_cores:.0f} occupied"
+                )
+                self._observe_overload()
+            if self._parked < self.policy.park_capacity:
+                self._parked += 1
+                decision, reason = AdmissionDecision.PARK, detail + "; parked"
+            else:
+                decision, reason = (AdmissionDecision.REJECT,
+                                    detail + "; waiting room full")
         registry.inc(
             "repro_serving_admission_total", decision=decision.value,
             help="Admission decisions by outcome",
         )
-        get_tracer().event(
-            "admission.decide_ladder", session=session_id,
-            decision=decision.value, cores=cores,
-            occupancy=self.occupancy_cores,
+        registry.set_gauge(
+            "repro_serving_occupancy_cores", self.occupancy_cores,
+            help="Estimated core demand of active sessions",
         )
-        return decision, reason, ()
+        registry.set_gauge(
+            "repro_serving_overload_level", int(self._level),
+            help="Server-level overload degradation rung",
+        )
+        get_tracer().event(
+            "admission.decide", session=session_id,
+            decision=decision.value, rungs=len(kept), cores=cores,
+            occupancy=self.occupancy_cores, level=self._level.name,
+        )
+        return decision, reason, kept
 
-    def unpark(self, session_id: int, hello: Hello,
-               fps: Optional[float] = None) -> Tuple[AdmissionDecision, str]:
-        """Retry admission for a parked session (frees its park slot;
-        a PARK outcome re-takes it)."""
-        self._parked = max(0, self._parked - 1)
-        return self.decide(session_id, hello, fps)
-
-    def unpark_ladder(
+    def unpark(
         self, session_id: int, hello: Hello,
-        fps: Optional[float] = None,
     ) -> Tuple[AdmissionDecision, str, Tuple[Tuple[int, int], ...]]:
-        """Ladder variant of :meth:`unpark`."""
+        """Retry admission for a parked session through the entry point
+        that parked it (frees its park slot; a PARK outcome re-takes
+        it)."""
         self._parked = max(0, self._parked - 1)
-        return self.decide_ladder(session_id, hello, fps)
+        if hello.ladder is not None:
+            return self.decide_ladder(session_id, hello)
+        return self.decide(session_id, hello)
 
     def abandon_park(self) -> None:
         """A parked session gave up (timeout or disconnect)."""
@@ -889,7 +756,16 @@ class FleetAdmission:
         capacity charge lives on that worker regardless.
         """
         registry = get_registry()
-        cores, _ = self._pricer.estimate_session(hello)
+        # Route on the primary rung's price: a worker drops low rungs
+        # before it parks or sheds, so the primary decides whether the
+        # session fits.  Charge the whole request, or ladders arriving
+        # inside one heartbeat would all land on the same worker.
+        rungs = hello.ladder or ((hello.width, hello.height),)
+        if self.compiled is not None:
+            # The worker trims rungs past the tenant's cap before pricing.
+            rungs = rungs[:self.compiled.max_rungs_for(hello.tenant) or None]
+        cores, _, _ = self._pricer.estimate_ladder(hello, rungs[:1])
+        charge, _, _ = self._pricer.estimate_ladder(hello, rungs)
         live = self.live_workers
         tenant = ""
         if self.compiled is not None and live:
@@ -938,16 +814,16 @@ class FleetAdmission:
                                    w.worker_id),
                 )
         if choice is not None:
-            choice.pending_cores += cores
+            choice.pending_cores += charge
             if tenant:
                 choice.tenant_pending[tenant] = (
-                    choice.tenant_pending.get(tenant, 0.0) + cores
+                    choice.tenant_pending.get(tenant, 0.0) + charge
                 )
             if self._parked:
                 self._parked = max(0, self._parked - 1)
             decision = AdmissionDecision.ACCEPT
             reason = (
-                f"routed to {choice.worker_id}: estimated {cores:.2f} "
+                f"routed to {choice.worker_id}: estimated {charge:.2f} "
                 f"cores, {choice.free_cores:.2f} free of "
                 f"{choice.capacity_cores:.0f}"
             )

@@ -930,28 +930,37 @@ class NetworkServer:
             return
         session_id = self._next_session_id
         self._next_session_id += 1
-        if hello.ladder is not None:
-            await self._run_ladder_connection(
-                session_id, hello, reader, writer
-            )
-            return
-        decision, reason = self.admission.decide(session_id, hello)
+        # Admission prices every rung the HELLO asks for (one for a
+        # plain session) and may drop low rungs before it parks or
+        # rejects the session.
+        decide = (self.admission.decide if hello.ladder is None
+                  else self.admission.decide_ladder)
+        decision, reason, kept = decide(session_id, hello)
         if decision is AdmissionDecision.PARK:
             await write_message(writer, HelloAck(
                 decision="park", session_id=session_id, reason=reason,
             ))
-            decision, reason = await self._wait_parked(session_id, hello)
+            decision, reason, kept = await self._wait_parked(
+                session_id, hello
+            )
         if decision is not AdmissionDecision.ACCEPT:
             await write_message(writer, HelloAck(
                 decision="reject", session_id=session_id, reason=reason,
             ))
             return
+        # The HELLO_ACK's ``rungs`` list is the ladder contract: exactly
+        # those rungs arrive on the wire, each ENCODED tagged with its
+        # rung id.  Ladder sessions are not journaled (no resume token)
+        # because the encode layer has no cross-rung snapshot yet; see
+        # DESIGN.md §14.
+        ladder = kept if hello.ladder is not None else ()
         resume_token = ""
         journal: Optional[SessionJournal] = None
         # Brownout gate: while the journal volume is failing, new
         # sessions are admitted journal-less (degrade, never crash);
         # the probe loop re-enables journaling hysteretically.
-        if self._journal_store is not None and self._durability.healthy:
+        if (not ladder and self._journal_store is not None
+                and self._durability.healthy):
             try:
                 resume_token = self._journal_store.new_token(
                     session_id, hello.client_id
@@ -970,7 +979,13 @@ class NetworkServer:
                 resume_token, journal = "", None
                 self._note_durability_failure(exc)
         session = _Session(session_id, hello, self,
-                           resume_token=resume_token, journal=journal)
+                           resume_token=resume_token, journal=journal,
+                           rungs=ladder)
+        if ladder:
+            get_registry().inc(
+                "repro_serving_ladder_sessions_total",
+                help="Rendition-ladder sessions admitted by the server",
+            )
         if journal is not None:
             admit_payload = {
                 "token": resume_token, "session_id": session_id,
@@ -1000,76 +1015,9 @@ class NetworkServer:
             # A brownout above clears the session's token; the ACK
             # must advertise what the session actually has.
             resume_token=session.resume_token,
+            rungs=tuple((i, w, h) for i, (w, h) in enumerate(ladder)),
         ))
         await self._serve_admitted(session, reader, writer)
-
-    async def _run_ladder_connection(
-        self, session_id: int, hello: Hello,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """HELLO-with-ladder handshake.
-
-        Admission prices the *whole* ladder (sum of per-rung LUT
-        estimates) and may drop low rungs before parking or rejecting
-        the session; the HELLO_ACK's ``rungs`` list is the contract —
-        exactly those rungs arrive on the wire, each ENCODED tagged
-        with its rung id in the header flags.  Ladder sessions are not
-        journaled (no resume token) and the encode watchdog is
-        disarmed; see DESIGN.md §14 for the limitation.
-        """
-        cfg = self.config
-        decision, reason, kept = self.admission.decide_ladder(
-            session_id, hello
-        )
-        if decision is AdmissionDecision.PARK:
-            await write_message(writer, HelloAck(
-                decision="park", session_id=session_id, reason=reason,
-            ))
-            decision, reason, kept = await self._wait_parked_ladder(
-                session_id, hello
-            )
-        if decision is not AdmissionDecision.ACCEPT:
-            await write_message(writer, HelloAck(
-                decision="reject", session_id=session_id, reason=reason,
-            ))
-            return
-        session = _Session(session_id, hello, self, rungs=kept)
-        get_registry().inc(
-            "repro_serving_ladder_sessions_total",
-            help="Rendition-ladder sessions admitted by the server",
-        )
-        await write_message(writer, HelloAck(
-            decision="accept", session_id=session_id, reason=reason,
-            queue_frames=cfg.queue_frames,
-            rungs=tuple(
-                (i, w, h) for i, (w, h) in enumerate(kept)
-            ),
-        ))
-        await self._serve_admitted(session, reader, writer)
-
-    async def _wait_parked_ladder(self, session_id: int, hello: Hello):
-        """Ladder variant of :meth:`_wait_parked`."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.park_timeout_s
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout", ()
-            self._capacity_freed.clear()
-            try:
-                await asyncio.wait_for(
-                    self._capacity_freed.wait(), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout", ()
-            decision, reason, kept = self.admission.unpark_ladder(
-                session_id, hello
-            )
-            if decision is not AdmissionDecision.PARK:
-                return decision, reason, kept
 
     async def _resume_connection(self, msg: Resume,
                                  reader: asyncio.StreamReader,
@@ -1224,9 +1172,9 @@ class NetworkServer:
         self._next_session_id += 1
         # A resumed session re-charges admission capacity like any
         # other: its old ticket died with its old connection.
-        decision, reason = self.admission.decide(session_id, hello)
+        decision, reason, _ = self.admission.decide(session_id, hello)
         if decision is AdmissionDecision.PARK:
-            decision, reason = await self._wait_parked(session_id, hello)
+            decision, reason, _ = await self._wait_parked(session_id, hello)
         if decision is not AdmissionDecision.ACCEPT:
             store.release(msg.resume_token)
             await write_message(writer, ResumeAck(
@@ -1346,15 +1294,15 @@ class NetworkServer:
             self._capacity_freed.set()
 
     async def _wait_parked(self, session_id: int, hello: Hello):
-        """Hold a parked session until capacity frees or the park
-        timeout elapses."""
+        """Hold a parked HELLO or RESUME until capacity frees or the
+        park timeout elapses; returns ``(decision, reason, kept)``."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.park_timeout_s
         while True:
             remaining = deadline - loop.time()
             if remaining <= 0:
                 self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout"
+                return AdmissionDecision.REJECT, "park timeout", ()
             self._capacity_freed.clear()
             try:
                 await asyncio.wait_for(
@@ -1362,10 +1310,10 @@ class NetworkServer:
                 )
             except asyncio.TimeoutError:
                 self.admission.abandon_park()
-                return AdmissionDecision.REJECT, "park timeout"
-            decision, reason = self.admission.unpark(session_id, hello)
+                return AdmissionDecision.REJECT, "park timeout", ()
+            decision, reason, kept = self.admission.unpark(session_id, hello)
             if decision is not AdmissionDecision.PARK:
-                return decision, reason
+                return decision, reason, kept
 
     # -- session tasks -------------------------------------------------
     async def _run_session(self, session: _Session,

@@ -14,7 +14,9 @@ import pytest
 
 from repro.observability import scoped
 from repro.observability.metrics import serving_summary
+from repro.policy import compile_policy, parse_policy
 from repro.serving.admission import (
+    AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
     FleetAdmission,
@@ -110,6 +112,36 @@ class TestFleetAdmission:
             fleet.update("w0", {"occupancy_cores": 1.0})
         assert fleet.workers["w0"].pending_cores == 0.0
         assert fleet.workers["w0"].occupancy_cores == 1.0
+
+    def test_ladder_charges_whole_ladder_routes_on_primary(self):
+        rungs = ((160, 128), (120, 96), (80, 64))
+        ladder = Hello(width=160, height=128, fps=24.0, gop=8,
+                       ladder=rungs)
+        pricer = AdmissionController()
+        whole, _, _ = pricer.estimate_ladder(ladder, rungs)
+        primary, _, _ = pricer.estimate_ladder(ladder, rungs[:1])
+        assert primary < whole
+        with scoped():
+            # Room for the primary but not the whole ladder: the worker
+            # drops low rungs itself, so the fleet still routes to it.
+            fleet = self._fleet(workers=1, capacity=(primary + whole) / 2)
+            decision, worker, _ = fleet.place(ladder)
+            assert (decision, worker) == (AdmissionDecision.ACCEPT, "w0")
+            # The pending charge is the whole ladder's price, so the
+            # next HELLO inside this heartbeat sees the real headroom.
+            assert fleet.workers["w0"].pending_cores == pytest.approx(whole)
+        with scoped():
+            # A tenant capped at one rung is charged what its worker
+            # will admit: the primary alone.
+            fleet = self._fleet(workers=1)
+            fleet.set_policy(compile_policy(parse_policy({
+                "version": 1, "default_tenant": "archive",
+                "tenants": [{"name": "archive", "tier": "archival",
+                             "weight": 1.0, "max_rungs": 1}],
+            })))
+            fleet.place(ladder)
+            assert fleet.workers["w0"].pending_cores == pytest.approx(
+                primary)
 
     def test_saturated_fleet_parks_then_rejects(self):
         with scoped():

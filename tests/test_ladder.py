@@ -468,7 +468,7 @@ def _controller():
 def _fill(controller, singles, start=100):
     sid = start
     for w, h in singles:
-        decision, reason = controller.decide(
+        decision, reason, _ = controller.decide(
             sid, Hello(width=w, height=h, fps=24.0)
         )
         assert decision is AdmissionDecision.ACCEPT, reason

@@ -6,6 +6,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -474,3 +478,23 @@ class TestServeArtifacts:
         prom = capsys.readouterr().out
         assert "# TYPE repro_frames_encoded_total counter" in prom
         assert "repro_tile_cpu_seconds_bucket" in prom
+
+
+# ----------------------------------------------------------------------
+# Benchmark tracer: its hooks name entry points in src/
+# ----------------------------------------------------------------------
+class TestBenchmarkTracerInstalls:
+    def test_tracer_hooks_resolve(self):
+        # perfbench/tracing.py wraps public entry points by name; a
+        # rename in src/ must fail here, not only in the traced
+        # benchmark run.  A subprocess keeps the monkeypatching out of
+        # this test session.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from tracing import Recorder, install; install(Recorder())")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(root / "perfbench")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -406,11 +406,38 @@ class TestAdmissionGates:
             ctrl = _policy_controller()
             hello = Hello(width=96, height=96, fps=24.0, tenant="clinic")
             assert ctrl.decide(0, hello)[0] is AdmissionDecision.ACCEPT
-            decision, reason = ctrl.decide(1, hello)
+            decision, reason, _ = ctrl.decide(1, hello)
             assert decision is AdmissionDecision.PARK
-            decision, reason = ctrl.decide(2, hello)
+            assert reason == (
+                "tenant 'clinic' entitlement exceeded: need 0.45 cores, "
+                "0.45/0.67 entitled cores occupied; parked"
+            )
+            decision, reason, _ = ctrl.decide(2, hello)
             assert decision is AdmissionDecision.REJECT
             assert "entitlement" in reason
+
+    def test_ladder_refused_by_entitlement_is_not_overload(self):
+        # A ladder whose primary rung alone exceeds the tenant's
+        # entitlement is deferred for the entitlement, like a plain
+        # HELLO.  Counting it as slot-cap overload would climb the
+        # server-level ladder and lighten every tenant's new sessions.
+        with scoped() as (registry, _):
+            ctrl = _policy_controller()
+            plain = Hello(width=96, height=96, fps=24.0, tenant="clinic")
+            ladder = Hello(width=96, height=96, fps=24.0, tenant="clinic",
+                           ladder=((96, 96), (48, 48)))
+            assert ctrl.decide(0, plain)[0] is AdmissionDecision.ACCEPT
+            outcomes = [ctrl.decide_ladder(sid, ladder) for sid in (1, 2, 3)]
+            assert [d for d, _, _ in outcomes] == [
+                AdmissionDecision.PARK, AdmissionDecision.REJECT,
+                AdmissionDecision.REJECT,
+            ]
+            for _, reason, kept in outcomes:
+                assert "entitlement" in reason
+                assert kept == ()
+            assert registry.value("repro_serving_tenant_entitlement_total",
+                                  tenant="clinic") == 3
+            assert ctrl.level is DegradationLevel.NONE
 
     def test_other_tenant_unaffected_by_full_neighbour(self):
         with scoped():
@@ -446,7 +473,7 @@ class TestAdmissionGates:
             ctrl.set_policy(ctrl.compiled, energy=sched)
             sched.observe(1.0, 500.0)
             sched.check(1.0)
-            decision, reason = ctrl.decide(
+            decision, reason, _ = ctrl.decide(
                 0, Hello(width=96, height=96, fps=24.0, tenant="archive")
             )
             assert decision is AdmissionDecision.REJECT

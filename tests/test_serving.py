@@ -340,14 +340,27 @@ _HELLO = Hello(width=96, height=96, fps=24.0)
 
 class TestAdmission:
     def test_accepts_until_slot_cap_then_parks_then_rejects(self):
+        # The reason is sent verbatim in the HELLO_ACK, so the exact
+        # text pins plain sessions' wire bytes.
         with scoped():
             ctrl = _controller(park_capacity=1)
-            assert ctrl.decide(0, _HELLO)[0] is AdmissionDecision.ACCEPT
+            assert ctrl.decide(0, _HELLO) == (
+                AdmissionDecision.ACCEPT,
+                "estimated 0.45 cores of 1 (0.45 occupied)", ((96, 96),),
+            )
             assert ctrl.decide(1, _HELLO)[0] is AdmissionDecision.ACCEPT
-            assert ctrl.decide(2, _HELLO)[0] is AdmissionDecision.PARK
-            decision, reason = ctrl.decide(3, _HELLO)
+            assert ctrl.decide(2, _HELLO) == (
+                AdmissionDecision.PARK,
+                "slot cap exceeded: need 0.45 cores, 0.90/1 occupied; "
+                "parked", (),
+            )
+            decision, reason, _ = ctrl.decide(3, _HELLO)
             assert decision is AdmissionDecision.REJECT
             assert "waiting room" in reason
+            assert reason == (
+                "slot cap exceeded: need 0.45 cores, 0.90/1 occupied; "
+                "waiting room full"
+            )
 
     def test_release_frees_capacity_for_unpark(self):
         with scoped():
